@@ -53,10 +53,11 @@ Outcome run(std::size_t deg, bool paper_literal, std::size_t flickers) {
   const std::size_t n = 3 + deg;
   core::Robust3HopNode::Options opts;
   opts.paper_literal_l2_forward = paper_literal;
+  telemetry::TelemetryRecorder rec(bench::kTimingRecorder);
   net::Simulator sim(n, bench::factory_of<core::Robust3HopNode>(opts),
                      {.enforce_bandwidth = true,
                       .track_prev_graph = false,
-                      .collect_phase_timings = true});
+                      .telemetry = &rec});
   net::ScriptedWorkload wl(star_script(deg, flickers));
   Outcome out;
   const auto start = std::chrono::steady_clock::now();
@@ -73,7 +74,7 @@ Outcome run(std::size_t deg, bool paper_literal, std::size_t flickers) {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  bench::perf_accumulator().add(harness::summarize_timed(sim, wall));
+  bench::record_run(sim, rec, wall);
   out.messages = sim.metrics().messages();
   return out;
 }

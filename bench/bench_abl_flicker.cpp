@@ -27,8 +27,8 @@ struct Outcome {
 template <typename NodeT>
 Outcome run(std::size_t repeats) {
   const auto scenario = dynamics::make_repeated_flicker_scenario(8, repeats);
-  net::Simulator sim(8, bench::factory_of<NodeT>(),
-                     {.collect_phase_timings = true});
+  telemetry::TelemetryRecorder rec(bench::kTimingRecorder);
+  net::Simulator sim(8, bench::factory_of<NodeT>(), {.telemetry = &rec});
   net::ScriptedWorkload wl(scenario.script);
   Outcome out;
   const auto start = std::chrono::steady_clock::now();
@@ -50,7 +50,7 @@ Outcome run(std::size_t repeats) {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  bench::perf_accumulator().add(harness::summarize_timed(sim, wall));
+  bench::record_run(sim, rec, wall);
   out.amortized = sim.metrics().amortized();
   return out;
 }

@@ -39,11 +39,12 @@ Cell run(std::size_t n, std::size_t k, std::size_t rounds,
   // k parameter) -- no concrete node type appears in this bench.
   const auto detector = bench::build_detector_or_die(
       "triangle(k=" + std::to_string(k) + ")");
+  telemetry::TelemetryRecorder rec(bench::kTimingRecorder);
   net::Simulator sim(n, detector->factory(),
                      {.enforce_bandwidth = true,
                       .track_prev_graph = false,
-                      .collect_phase_timings = true});
-  bench::run_timed(sim, *built.workload, 1000000);
+                      .telemetry = &rec});
+  bench::run_timed(sim, rec, *built.workload, 1000000);
   Cell cell;
   cell.amortized = sim.metrics().amortized();
   for (NodeId v = 0; v < n; ++v) {

@@ -38,11 +38,12 @@ template <typename NodeT>
 std::unique_ptr<net::Simulator> run_churn(std::size_t n,
                                           std::uint64_t seed,
                                           std::size_t rounds) {
+  telemetry::TelemetryRecorder rec(bench::kTimingRecorder);
   auto sim = std::make_unique<net::Simulator>(
       n, bench::factory_of<NodeT>(),
       net::SimulatorConfig{.enforce_bandwidth = true,
                            .track_prev_graph = false,
-                           .collect_phase_timings = true});
+                           .telemetry = &rec});
   dynamics::RandomChurnParams cp;
   cp.n = n;
   cp.target_edges = 3 * n;
@@ -50,7 +51,9 @@ std::unique_ptr<net::Simulator> run_churn(std::size_t n,
   cp.rounds = rounds;
   cp.seed = seed;
   dynamics::RandomChurnWorkload wl(cp);
-  bench::run_timed(*sim, wl, 1000000);
+  bench::run_timed(*sim, rec, wl, 1000000);
+  // `rec` dies with this frame: callers only inspect the finished
+  // simulator and never step it again.
   return sim;
 }
 

@@ -42,7 +42,6 @@ detect::Session open_session_or_die(const std::string& scenario,
   sopts.sim = {.enforce_bandwidth = true,
                .track_prev_graph = false,
                .sparse_rounds = true,
-               .collect_phase_timings = false,
                .threads = 0,
                .faults = {}};
   std::string error;

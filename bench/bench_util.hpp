@@ -366,6 +366,49 @@ inline void print_results(const std::string& x_name,
   }
 }
 
+/// Histogram-only telemetry: O(lanes) memory whatever the round count.
+/// Every timed bench run attaches one (SimulatorConfig::telemetry); its
+/// span histograms are the runs' only clock, read back by record_run.
+inline constexpr telemetry::RecorderOptions kTimingRecorder{
+    .timing = true, .keep_rounds = false, .keep_spans = false};
+
+/// Summarizes a finished run that took `wall_seconds` and carried `rec`
+/// (a kTimingRecorder): fills the round-latency percentiles and the
+/// per-phase split (harness::RunSummary documents each field) and folds
+/// the run into the process-wide perf aggregate.
+inline harness::RunSummary record_run(const net::Simulator& sim,
+                                      const telemetry::TelemetryRecorder& rec,
+                                      double wall_seconds) {
+  using telemetry::Phase;
+  const auto total = [&rec](Phase p) { return rec.merged_phase_ns(p).sum(); };
+  harness::RunSummary s = harness::summarize_timed(sim, wall_seconds);
+  s.latency_p50_ns = rec.round_latency_ns().p50();
+  s.latency_p99_ns = rec.round_latency_ns().p99();
+  s.apply_ns = total(Phase::kApply);
+  s.react_ns = total(Phase::kReact);
+  s.route_ns = total(Phase::kExchange) + total(Phase::kRoute);
+  s.receive_ns = total(Phase::kReceive);
+  perf_accumulator().add(s);
+  perf_accumulator().add_latency(rec.round_latency_ns());
+  return s;
+}
+
+/// For benches that need the simulator afterwards (coverage queries,
+/// prev-graph checks): drives `workload` on a caller-owned `sim` built
+/// with `.telemetry = &rec` (a kTimingRecorder), timing the run and
+/// folding it into the process-wide perf aggregate (record_run).
+inline harness::RunSummary run_timed(net::Simulator& sim,
+                                     const telemetry::TelemetryRecorder& rec,
+                                     net::Workload& workload,
+                                     std::size_t max_rounds = 10000000) {
+  const auto start = std::chrono::steady_clock::now();
+  net::run_workload(sim, workload, max_rounds);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return record_run(sim, rec, wall);
+}
+
 /// Runs `workload` to completion (plus drain) over an algorithm built by
 /// `factory`; returns the run summary with wall-clock + per-phase perf
 /// filled in (and folded into the process-wide perf aggregate).
@@ -376,47 +419,15 @@ inline harness::RunSummary run_experiment(std::size_t n,
                                           std::size_t threads = 0,
                                           const net::FaultPlan& faults = {},
                                           std::size_t shards = 1) {
-  // Histogram-only telemetry: O(lanes) memory whatever the round count,
-  // feeding the latency_p50/p99 percentiles of the bench JSON.
-  telemetry::TelemetryRecorder rec(telemetry::RecorderOptions{
-      .timing = true, .keep_rounds = false, .keep_spans = false});
+  telemetry::TelemetryRecorder rec(kTimingRecorder);
   net::Simulator sim(n, factory, {.enforce_bandwidth = true,
                                   .track_prev_graph = false,
                                   .sparse_rounds = true,
-                                  .collect_phase_timings = true,
                                   .threads = threads,
                                   .shards = shards,
                                   .faults = faults,
                                   .telemetry = &rec});
-  const auto start = std::chrono::steady_clock::now();
-  net::run_workload(sim, workload, max_rounds);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  harness::RunSummary s = harness::summarize_timed(sim, wall);
-  s.latency_p50_ns = rec.round_latency_ns().p50();
-  s.latency_p99_ns = rec.round_latency_ns().p99();
-  perf_accumulator().add(s);
-  perf_accumulator().add_latency(rec.round_latency_ns());
-  return s;
-}
-
-/// For benches that need the simulator afterwards (coverage queries,
-/// prev-graph checks): drives `workload` on a caller-owned `sim`, timing
-/// the run and folding it into the process-wide perf aggregate.  Construct
-/// the simulator with `.collect_phase_timings = true` to get the per-phase
-/// split.
-inline harness::RunSummary run_timed(net::Simulator& sim,
-                                     net::Workload& workload,
-                                     std::size_t max_rounds = 10000000) {
-  const auto start = std::chrono::steady_clock::now();
-  net::run_workload(sim, workload, max_rounds);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  harness::RunSummary s = harness::summarize_timed(sim, wall);
-  perf_accumulator().add(s);
-  return s;
+  return run_timed(sim, rec, workload, max_rounds);
 }
 
 /// Builds a registry scenario or dies loudly: a bench silently falling back

@@ -23,11 +23,6 @@ RunSummary summarize(const net::Simulator& sim) {
   s.per_node_sup = m.per_node_amortized_sup();
   s.messages = m.messages();
   s.payload_bits = m.payload_bits();
-  const net::PhaseTimings& t = sim.phase_timings();
-  s.apply_ns = t.apply_ns;
-  s.react_ns = t.react_ns;
-  s.route_ns = t.route_ns;
-  s.receive_ns = t.receive_ns;
   const net::TransportStats& x = m.transport();
   s.transport_retries = x.retries;
   s.transport_redeliveries = x.redeliveries;

@@ -39,7 +39,12 @@ struct RunSummary {
   // perf_baseline.json by {"max": ...} ceilings only.
   double latency_p50_ns = 0.0;
   double latency_p99_ns = 0.0;
-  // Per-phase engine time (requires SimulatorConfig::collect_phase_timings).
+  // Per-phase engine time in nanoseconds, summed from the same recorder's
+  // span histograms (bench_util.hpp); zero without timing telemetry.
+  // apply_ns (Phase 0) and route_ns (transport exchange + merge) are
+  // barrier-side wall intervals.  react_ns / receive_ns are per-slot busy
+  // time summed over every slot of the grid, not step wall time: slots
+  // that run in parallel all count, so they can exceed the wall clock.
   std::uint64_t apply_ns = 0;
   std::uint64_t react_ns = 0;
   std::uint64_t route_ns = 0;

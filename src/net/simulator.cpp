@@ -55,23 +55,12 @@ Simulator::Simulator(std::size_t n, NodeFactory factory,
     config_.telemetry->on_shards(shards_, lanes_);
   }
   if (config_.threads > 0) {
-    pool_ = std::make_unique<WorkerPool>(config_.threads,
-                                         config_.threads_inline_cutoff);
+    pool_ = std::make_unique<WorkerPool>(config_.threads);
     if (telemetry_timing_) pool_->set_telemetry(config_.telemetry);
-    react_task_ = [this](std::size_t lane, std::size_t b, std::size_t e) {
-      react_shard(lane, b, e);
-    };
-    receive_task_ = [this](std::size_t lane, std::size_t b, std::size_t e) {
-      receive_shard(lane, b, e);
-    };
-    if (shards_ > 1) {
-      react_slots_task_ = [this](std::size_t lane, std::size_t b,
-                                 std::size_t e) { react_slots(lane, b, e); };
-      receive_slots_task_ = [this](std::size_t lane, std::size_t b,
-                                   std::size_t e) {
-        receive_slots(lane, b, e);
-      };
-    }
+    react_slots_task_ = [this](std::size_t lane, std::size_t b,
+                               std::size_t e) { react_slots(lane, b, e); };
+    receive_slots_task_ = [this](std::size_t lane, std::size_t b,
+                                 std::size_t e) { receive_slots(lane, b, e); };
   }
 }
 
@@ -99,69 +88,10 @@ void Simulator::bump_active_epoch() {
   }
 }
 
-void Simulator::set_sparse_rounds(bool enabled) {
-  if (enabled && !config_.sparse_rounds) bootstrap_ = true;
-  config_.sparse_rounds = enabled;
-}
-
 void Simulator::debug_prime_epoch_wrap(std::uint64_t steps) {
   active_epoch_ = ~std::uint64_t{0} - steps;
   events_by_node_.debug_prime_epoch_wrap(steps);
   fabric_.debug_prime_epoch_wrap(steps);
-}
-
-void Simulator::react_shard(std::size_t lane, std::size_t begin,
-                            std::size_t end) {
-  Clock::time_point s0;
-  if (telemetry_timing_) s0 = Clock::now();
-  const std::size_t n = nodes_.size();
-  Outbox& out = lane_outbox_[lane];
-  for (std::size_t i = begin; i < end; ++i) {
-    const NodeId v = active_[i];
-    out.reset();
-    NodeContext ctx{v, n, round_};
-    nodes_[v]->react_and_send(ctx, events_by_node_.bucket(v), out);
-    // Validate and stage straight into the lane's router batch while the
-    // node's traffic is hot -- one scratch outbox per lane replaces the
-    // old per-active-node pool, and Phase 2's sequential scatter becomes
-    // the Router's deterministic lane-major merge at the barrier.
-    fabric_.stage_outbox(lane, v, out, g_);
-  }
-  if (telemetry_timing_) {
-    emit_span(telemetry::Phase::kReact, lane, s0, Clock::now());
-  }
-}
-
-void Simulator::receive_shard_node(NodeId v) {
-  NodeContext ctx{v, nodes_.size(), round_};
-  nodes_[v]->receive_and_update(ctx, fabric_.inbox(v));
-}
-
-void Simulator::receive_shard(std::size_t lane, std::size_t begin,
-                              std::size_t end) {
-  Clock::time_point s0;
-  if (telemetry_timing_) s0 = Clock::now();
-  LaneBook& book = lane_books_[lane];
-  for (std::size_t i = begin; i < end; ++i) {
-    const NodeId v = stepped_[i];
-    receive_shard_node(v);
-    // Lane-local bookkeeping: consistency transitions and the carry set
-    // are recorded in this lane's book (reduced at the barrier in lane
-    // order); the per-node inconsistency meter is written directly --
-    // stepped nodes are partitioned across lanes, so concurrent calls
-    // always target distinct counters (metrics.hpp contract).
-    // A degraded node's program cannot know it missed traffic; the engine
-    // overrides its self-report until recovery completes.
-    const bool ok = nodes_[v]->consistent() && !degraded_[v];
-    if (ok != consistent_[v]) book.flips.emplace_back(v, ok);
-    if (!ok) metrics_.record_node_inconsistent(v);
-    if (config_.sparse_rounds && nodes_[v]->wants_to_act()) {
-      book.carry.push_back(v);
-    }
-  }
-  if (telemetry_timing_) {
-    emit_span(telemetry::Phase::kReceive, lane, s0, Clock::now());
-  }
 }
 
 void Simulator::compute_shard_bounds(const std::vector<NodeId>& ids,
@@ -181,8 +111,8 @@ void Simulator::compute_shard_bounds(const std::vector<NodeId>& ids,
 void Simulator::react_slot(std::size_t slot, std::size_t pool_lane) {
   // Slot s*L + l reacts chunk l of shard s's slice of active_.  Slots in
   // ascending order cover active_ in ascending sender order, so the
-  // lane-major merge at every destination router stays sender-sorted --
-  // the byte-identity anchor of the shard engine.
+  // slot-major merge at every destination router stays sender-sorted --
+  // the byte-identity anchor of the engine.
   const std::size_t s = slot / lanes_;
   const std::size_t l = slot % lanes_;
   const std::size_t sb = active_bounds_[s];
@@ -199,6 +129,9 @@ void Simulator::react_slot(std::size_t slot, std::size_t pool_lane) {
     out.reset();
     NodeContext ctx{v, n, round_};
     nodes_[v]->react_and_send(ctx, events_by_node_.bucket(v), out);
+    // Validate and stage straight into the slot's router batch while the
+    // node's traffic is hot -- one scratch outbox per pool lane, and
+    // Phase 2 is the Router's deterministic slot-major merge.
     fabric_.stage_outbox(slot, v, out, g_);
   }
   if (telemetry_timing_) {
@@ -211,8 +144,7 @@ void Simulator::react_slots(std::size_t pool_lane, std::size_t begin,
   for (std::size_t p = begin; p < end; ++p) react_slot(p, pool_lane);
 }
 
-void Simulator::receive_slot(std::size_t slot, std::size_t pool_lane) {
-  (void)pool_lane;  // books are per slot; no pool-lane-local state here
+void Simulator::receive_slot(std::size_t slot) {
   const std::size_t s = slot / lanes_;
   const std::size_t l = slot % lanes_;
   const std::size_t sb = stepped_bounds_[s];
@@ -224,11 +156,17 @@ void Simulator::receive_slot(std::size_t slot, std::size_t pool_lane) {
   if (telemetry_timing_) s0 = Clock::now();
   // Per-slot book: ascending slot order covers stepped_ in ascending id
   // order, so the barrier's slot-order reduction replays the sequential
-  // engine's bookkeeping walk exactly (see receive_shard).
+  // engine's bookkeeping walk exactly.  The per-node inconsistency meter
+  // is written directly -- stepped nodes are partitioned across slots, so
+  // concurrent calls always target distinct counters (metrics.hpp
+  // contract).  A degraded node's program cannot know it missed traffic;
+  // the engine overrides its self-report until recovery completes.
+  const std::size_t n = nodes_.size();
   LaneBook& book = lane_books_[slot];
   for (std::size_t i = begin; i < end; ++i) {
     const NodeId v = stepped_[i];
-    receive_shard_node(v);
+    NodeContext ctx{v, n, round_};
+    nodes_[v]->receive_and_update(ctx, fabric_.inbox(v));
     const bool ok = nodes_[v]->consistent() && !degraded_[v];
     if (ok != consistent_[v]) book.flips.emplace_back(v, ok);
     if (!ok) metrics_.record_node_inconsistent(v);
@@ -243,7 +181,8 @@ void Simulator::receive_slot(std::size_t slot, std::size_t pool_lane) {
 
 void Simulator::receive_slots(std::size_t pool_lane, std::size_t begin,
                               std::size_t end) {
-  for (std::size_t p = begin; p < end; ++p) receive_slot(p, pool_lane);
+  (void)pool_lane;  // books are per slot; no pool-lane-local state here
+  for (std::size_t p = begin; p < end; ++p) receive_slot(p);
 }
 
 void Simulator::emit_span(telemetry::Phase phase, std::size_t lane,
@@ -394,16 +333,14 @@ void Simulator::maybe_undegrade() {
 
 RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   const std::size_t n = nodes_.size();
-  // One shared gate for every clock read: the phase-timing accumulator
-  // and the telemetry timing channel reuse the same t0..t3 samples, so
-  // with both off the hot path performs no clock calls at all.
-  const bool timed = config_.collect_phase_timings || telemetry_timing_;
   telemetry::TelemetrySink* const sink = config_.telemetry;
   TransportStats transport_base;
   if (sink != nullptr) transport_base = metrics_.transport();
   ++round_;
+  // One gate for every clock read, the telemetry timing channel: with it
+  // off the hot path performs no clock calls at all.
   Clock::time_point t0;
-  if (timed) t0 = Clock::now();
+  if (telemetry_timing_) t0 = Clock::now();
 
   // --- Phase 0: bring G_{i-1} up to date, apply this round's events, and
   // assemble the active set. ---
@@ -423,10 +360,7 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   // Round 1 bootstraps densely: every program runs once and declares its
   // intent through wants_to_act(); from then on the carryover + events +
   // traffic exactly cover every node that can act (node.hpp contract).
-  // set_sparse_rounds(true) after dense rounds re-runs the bootstrap
-  // (bootstrap_), because dense rounds do not maintain the carry set.
-  const bool dense = !config_.sparse_rounds || round_ == 1 || bootstrap_;
-  bootstrap_ = false;
+  const bool dense = !config_.sparse_rounds || round_ == 1;
   if (dense) {
     for (NodeId v = 0; v < n; ++v) {
       active_mark_[v] = active_epoch_;
@@ -448,44 +382,31 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   }
   events_by_node_.build();
   if (!dense) std::sort(active_.begin(), active_.end());
-  Clock::time_point t1;
-  if (timed) {
-    t1 = Clock::now();
-    if (config_.collect_phase_timings) timings_.apply_ns += elapsed_ns(t0, t1);
-    if (telemetry_timing_) emit_span(telemetry::Phase::kApply, 0, t0, t1);
+  if (telemetry_timing_) {
+    emit_span(telemetry::Phase::kApply, 0, t0, Clock::now());
   }
 
   // --- Phase 1: react & send (first half of the communication round),
-  // fused with routing validation + staging.  Parallel-safe: node i
-  // touches only its own program, its (read-only) event bucket, its
-  // lane's scratch outbox, and its lane's router batch.  Shards are
-  // contiguous ascending ranges of active_, so lane-major staging order
-  // is ascending sender order -- exactly the sequential engine's. ---
+  // fused with routing validation + staging, on the slot grid: slot
+  // s*L + l reacts its own contiguous chunk of shard s's slice of
+  // active_.  Parallel-safe: a node touches only its own program, its
+  // (read-only) event bucket, its pool lane's scratch outbox, and its
+  // slot's router batch; cross-shard traffic lands in per-slot egress
+  // batches that cross the Transport seam as encoded frames in Phase 2.
+  // Ascending slots hold ascending ranges, so slot-major staging order is
+  // ascending sender order -- exactly the sequential engine's.  Small
+  // rounds run the same slots inline rather than paying the fork-join. ---
   fabric_.begin_round(round_);
-  if (shards_ > 1) {
-    // Shard engine: every staging slot s*L + l reacts its own contiguous
-    // chunk of its shard's slice of active_; cross-shard traffic lands in
-    // per-slot egress batches that cross the Transport seam as encoded
-    // frames in Phase 2.  run_tasks skips the inline cutoff -- W slots is
-    // a task count, not a node count.
-    compute_shard_bounds(active_, active_bounds_);
-    if (pool_ != nullptr && active_.size() > config_.threads_inline_cutoff) {
-      pool_->run_tasks(fabric_.slots(), react_slots_task_);
-    } else {
-      react_slots(0, 0, fabric_.slots());
-    }
-  } else if (pool_ != nullptr) {
-    pool_->run_sharded(active_.size(), react_task_);
+  compute_shard_bounds(active_, active_bounds_);
+  if (pool_ != nullptr && active_.size() > config_.threads_inline_cutoff) {
+    pool_->run_tasks(fabric_.slots(), react_slots_task_);
   } else {
-    react_shard(0, 0, active_.size());
+    react_slots(0, 0, fabric_.slots());
   }
+  // No step-level kReact span: react time is reported per slot by
+  // react_slot, whichever thread ran it.
   Clock::time_point t2;
-  if (timed) {
-    t2 = Clock::now();
-    if (config_.collect_phase_timings) timings_.react_ns += elapsed_ns(t1, t2);
-    // No step-level kReact span: react time is reported per lane by
-    // react_shard (the inline path emits a lane-0 span the same way).
-  }
+  if (telemetry_timing_) t2 = Clock::now();
 
   // --- Phase 2: the staged lane batches cross the transport seam (a
   // no-op for LocalTransport; the fault plan's whole protocol for
@@ -532,18 +453,15 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
     for (NodeId u : r.two_hop_touched()) note_receiver(u);
   }
   std::sort(receive_extra_.begin(), receive_extra_.end());
-  Clock::time_point t3;
-  if (timed) {
-    t3 = Clock::now();
-    if (config_.collect_phase_timings) timings_.route_ns += elapsed_ns(t2, t3);
-    if (telemetry_timing_) emit_span(telemetry::Phase::kRoute, 0, te, t3);
+  if (telemetry_timing_) {
+    emit_span(telemetry::Phase::kRoute, 0, te, Clock::now());
   }
 
   // --- Phase 3: receive & update (second half of the round), over the
-  // ascending merge of active_ and receive_extra_.  Each lane records its
-  // shard's consistency flips and carry nodes in its own book; the
-  // barrier reduces the books in lane order, which over contiguous
-  // ascending shards is ascending id order -- identical to the old
+  // ascending merge of active_ and receive_extra_, on the same slot grid.
+  // Each slot records its chunk's consistency flips and carry nodes in its
+  // own book; the barrier reduces the books in slot order, which over
+  // contiguous ascending chunks is ascending id order -- identical to the
   // sequential bookkeeping walk. ---
   carry_.clear();
   stepped_.clear();
@@ -562,17 +480,11 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
     book.flips.clear();
     book.carry.clear();
   }
-  if (shards_ > 1) {
-    compute_shard_bounds(stepped_, stepped_bounds_);
-    if (pool_ != nullptr && stepped_.size() > config_.threads_inline_cutoff) {
-      pool_->run_tasks(fabric_.slots(), receive_slots_task_);
-    } else {
-      receive_slots(0, 0, fabric_.slots());
-    }
-  } else if (pool_ != nullptr) {
-    pool_->run_sharded(stepped_.size(), receive_task_);
+  compute_shard_bounds(stepped_, stepped_bounds_);
+  if (pool_ != nullptr && stepped_.size() > config_.threads_inline_cutoff) {
+    pool_->run_tasks(fabric_.slots(), receive_slots_task_);
   } else {
-    receive_shard(0, 0, stepped_.size());
+    receive_slots(0, 0, fabric_.slots());
   }
   std::uint64_t flips_down = 0;
   std::uint64_t flips_up = 0;
@@ -594,12 +506,8 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   // --- Metering. ---
   metrics_.record_round(round_, events.size(), inconsistent_count_,
                         traffic.messages, traffic.payload_bits);
-  if (timed) {
-    const Clock::time_point t4 = Clock::now();
-    if (config_.collect_phase_timings) {
-      timings_.receive_ns += elapsed_ns(t3, t4);
-    }
-    if (telemetry_timing_) emit_span(telemetry::Phase::kRound, 0, t0, t4);
+  if (telemetry_timing_) {
+    emit_span(telemetry::Phase::kRound, 0, t0, Clock::now());
   }
   if (sink != nullptr) {
     // Deterministic channel: everything here is a pure function of the

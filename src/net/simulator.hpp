@@ -35,20 +35,25 @@
 // merge at the round barrier, and WireMessage payloads are inline
 // (SmallBlob) -- steady-state rounds perform no heap allocation.
 //
-// Parallel rounds (SimulatorConfig::threads > 0): Phase 1 and Phase 3 are
-// sharded across a persistent WorkerPool (net/worker_pool.hpp) of
-// execution lanes.  A node's react/receive touches only its own program
-// state, its (read-only) event/inbox buckets, its lane's scratch outbox,
-// and its lane's router batch and accounting books, so shards never share
-// mutable state.  Determinism comes from structure rather than
-// sequencing: lanes hold contiguous ascending shards of the active set,
-// so the Router's lane-major merge (senders ascend within a lane, lanes
-// ascend by shard) reproduces exactly the ascending-sender staging order
-// of the sequential engine, and the per-lane consistency/metrics/carry
-// books are reduced at the round barrier in lane order, which is likewise
-// ascending id order.  Every result, metric, audit, and recorded trace is
-// therefore bit-identical to the sequential engine for any thread count
-// -- locked by the ParallelEquivalence suite at threads in {1, 2, 4, 8}.
+// Parallel rounds (SimulatorConfig::threads > 0): Phase 1 and Phase 3
+// run on the slot grid -- W = S x L staging slots, S shards times L
+// execution lanes -- dispatched to a persistent WorkerPool
+// (net/worker_pool.hpp).  Slot s*L + l covers chunk l of shard s's
+// contiguous slice of the active set; there is no other dispatch path,
+// so S = 1 is simply the grid with W = L.  A node's react/receive touches
+// only its own program state, its (read-only) event/inbox buckets, its
+// pool lane's scratch outbox, and its slot's router batch and accounting
+// book, so slots never share mutable state.  Determinism comes from
+// structure rather than sequencing: ascending slots hold ascending ranges
+// of the active set, so the Router's slot-major merge (senders ascend
+// within a slot, slots ascend) reproduces exactly the ascending-sender
+// staging order of the sequential engine, and the per-slot consistency/
+// metrics/carry books are reduced at the round barrier in slot order,
+// which is likewise ascending id order.  Whether a round forks or runs
+// its slots inline only picks the thread, never the slots, so every
+// result, metric, audit, and recorded trace is bit-identical to the
+// sequential engine for any thread count -- locked by the
+// ParallelEquivalence suite at threads in {1, 2, 4, 8}.
 //
 // Transport seam (SimulatorConfig::faults): between Phase 1 staging and
 // the Phase 2 merge, the staged lane batches cross a Transport
@@ -109,20 +114,17 @@ struct SimulatorConfig {
   /// engine's dense semantics: every node stepped every round.  Kept as
   /// the reference mode for the golden-trace equivalence suite.
   bool sparse_rounds = true;
-  /// Accumulate per-phase wall-clock timings into phase_timings().  This
-  /// flag and an attached timing-enabled telemetry sink share one gate:
-  /// when both are off the hot path performs NO clock reads at all (a
-  /// telemetry-off round is byte-for-byte the pre-telemetry engine).
-  bool collect_phase_timings = false;
-  /// Execution lanes for the parallel round engine.  0 = the sequential
-  /// engine (today's behavior, the reference).  T >= 1 shards Phase 1 and
-  /// Phase 3 across T lanes (the calling thread plus T - 1 persistent
-  /// pool threads); results are bit-identical to sequential for every T.
+  /// Execution lanes L for the parallel round engine.  0 = the sequential
+  /// engine (the reference): one lane, no pool.  T >= 1 splits each
+  /// shard's slice of Phase 1 and Phase 3 into T slot chunks run by T
+  /// lanes (the calling thread plus T - 1 persistent pool threads);
+  /// results are bit-identical to sequential for every T.
   std::size_t threads = 0;
-  /// Batches at or below this size skip the fork-join and run inline on
-  /// the calling thread (microseconds of dispatch vs nanoseconds of node
-  /// work; identical results either way).  The equivalence/tsan suites
-  /// set 0 to race every dispatch.
+  /// Rounds whose active (Phase 1) or stepped (Phase 3) set is at or
+  /// below this size run their W slots inline on the calling thread
+  /// instead of forking (microseconds of dispatch vs nanoseconds of node
+  /// work).  The slot layout is the same either way, so results are
+  /// identical; the equivalence/tsan suites set 0 to race every dispatch.
   std::size_t threads_inline_cutoff = WorkerPool::kInlineCutoff;
   /// Shard count S for the partitioned engine (net/shard_fabric.hpp).
   /// 0 or 1 = the single-router engine (the reference).  S >= 2 splits the
@@ -155,23 +157,11 @@ struct RoundResult {
   friend bool operator==(const RoundResult&, const RoundResult&) = default;
 };
 
-/// Cumulative per-phase wall-clock nanoseconds (collect_phase_timings).
-struct PhaseTimings {
-  std::uint64_t apply_ns = 0;    // Phase 0: event validation + graph apply
-  std::uint64_t react_ns = 0;    // Phase 1: react_and_send over the active set
-  std::uint64_t route_ns = 0;    // Phase 2: routing + bandwidth enforcement
-  std::uint64_t receive_ns = 0;  // Phase 3: receive_and_update + metering
-
-  [[nodiscard]] std::uint64_t total_ns() const {
-    return apply_ns + react_ns + route_ns + receive_ns;
-  }
-};
-
 class Simulator {
  public:
   Simulator(std::size_t n, NodeFactory factory, SimulatorConfig config = {});
 
-  // Not movable: the parallel engine's persistent shard tasks capture
+  // Not movable: the parallel engine's persistent slot tasks capture
   // `this` (heap-allocate a Simulator to hand it around, as Session does).
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -194,14 +184,6 @@ class Simulator {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] Round round() const { return round_; }
   [[nodiscard]] const SimulatorConfig& config() const { return config_; }
-
-  /// Switches between sparse and dense round semantics mid-run.  Dense
-  /// rounds do not maintain the wants_to_act() carry set, so enabling
-  /// sparse after dense rounds forces one dense bootstrap round (exactly
-  /// like round 1) in which every program re-declares itself -- without
-  /// it the sparse engine would resume from a stale, empty carry set and
-  /// skip nodes that still want to act.
-  void set_sparse_rounds(bool enabled);
 
   /// Test hook: primes every internal epoch counter (active-set dedup,
   /// per-destination duplicate checks, and all router buckets) to within
@@ -251,7 +233,6 @@ class Simulator {
   }
 
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
-  [[nodiscard]] const PhaseTimings& phase_timings() const { return timings_; }
 
   /// Shard 0's Router (for tests / memory instrumentation; the whole
   /// fabric at S = 1).
@@ -269,9 +250,9 @@ class Simulator {
   }
 
  private:
-  /// Per-lane Phase 3 accounting book: everything order-sensitive a lane
-  /// observes while receiving its shard, reduced at the round barrier in
-  /// lane order (= ascending id order, since shards are contiguous and
+  /// Per-slot Phase 3 accounting book: everything order-sensitive a slot
+  /// observes while receiving its chunk, reduced at the round barrier in
+  /// slot order (= ascending id order, since chunks are contiguous and
   /// ascending).
   struct LaneBook {
     std::vector<std::pair<NodeId, bool>> flips;  // consistency transitions
@@ -291,21 +272,18 @@ class Simulator {
   void maybe_undegrade();
   void add_pending_delete(Edge e);
   static bool erase_sorted(std::vector<Edge>& edges, Edge e);
-  // Shard bodies for the parallel engine (also the sequential loop bodies,
-  // called as lane 0 with the full range).
-  void react_shard(std::size_t lane, std::size_t begin, std::size_t end);
-  void receive_shard(std::size_t lane, std::size_t begin, std::size_t end);
-  void receive_shard_node(NodeId v);
-  // Slot bodies for the partitioned engine (S > 1): slot p = s * L + l
-  // covers chunk l of shard s's sub-range of active_ / stepped_
-  // (boundaries precomputed into *_bounds_ by binary search on the
-  // partition).  `pool_lane` indexes the scratch outbox; `p` indexes the
-  // fabric staging slot and the Phase 3 book.
+  // Slot bodies, the engine's only Phase 1 / Phase 3 dispatch: slot
+  // p = s * L + l covers chunk l of shard s's sub-range of active_ /
+  // stepped_ (boundaries precomputed into *_bounds_ by binary search on
+  // the partition).  *_slots(pool_lane, begin, end) runs slots
+  // [begin, end) -- a pool task, or all W slots inline on lane 0.
+  // `pool_lane` indexes the scratch outbox; the slot indexes the fabric
+  // staging batch and the Phase 3 book.
   void react_slots(std::size_t pool_lane, std::size_t begin, std::size_t end);
   void receive_slots(std::size_t pool_lane, std::size_t begin,
                      std::size_t end);
   void react_slot(std::size_t slot, std::size_t pool_lane);
-  void receive_slot(std::size_t slot, std::size_t pool_lane);
+  void receive_slot(std::size_t slot);
   // Fills `bounds` (size S + 1) with the partition boundaries of the
   // ascending id vector `ids`: shard s owns ids[bounds[s]..bounds[s+1]).
   void compute_shard_bounds(const std::vector<NodeId>& ids,
@@ -319,8 +297,9 @@ class Simulator {
 
   SimulatorConfig config_;
   // Timing channel armed: a sink is attached AND it wants wall-clock
-  // spans (sampled once at construction; the deterministic channel needs
-  // no flag -- it is gated on config_.telemetry != nullptr directly).
+  // spans (sampled once at construction).  The engine's only clock gate:
+  // false means no clock read anywhere in step().  The deterministic
+  // channel needs no flag -- it is gated on config_.telemetry directly.
   bool telemetry_timing_ = false;
   oracle::TimestampedGraph g_;
   oracle::TimestampedGraph prev_g_;
@@ -330,7 +309,6 @@ class Simulator {
   std::size_t inconsistent_count_ = 0;
   Metrics metrics_;
   Round round_ = 0;
-  PhaseTimings timings_;
 
   // Persistent, reused round state: the event fan-out buckets plus the
   // partitioned routing fabric (O(n) memory once, O(active + messages)
@@ -349,7 +327,6 @@ class Simulator {
   std::vector<NodeId> carry_;         // wants_to_act() carryover to next round
   std::vector<std::uint64_t> active_mark_;  // epoch stamps for active_ dedup
   std::uint64_t active_epoch_ = 0;
-  bool bootstrap_ = false;  // dense round pending after set_sparse_rounds
   // Transport seam + degraded-mode recovery state.  The pending vectors
   // are kept sorted (deterministic flicker emission order); an edge lives
   // in at most one of them: pending_delete_ holds present edges awaiting
@@ -367,11 +344,9 @@ class Simulator {
   std::vector<EdgeEvent> merged_events_;   // recovery + reconciled workload
   std::vector<EdgeEvent> reconciled_;      // reconcile scratch
   std::unique_ptr<WorkerPool> pool_;  // non-null iff config_.threads > 0
-  // Persistent type-erased shard tasks (built once; a per-round
+  // Persistent type-erased slot-grid tasks (built once; a per-round
   // std::function construction would allocate in steady state).
-  WorkerPool::ShardFn react_task_;
-  WorkerPool::ShardFn receive_task_;
-  WorkerPool::ShardFn react_slots_task_;    // S > 1 slot-grid dispatch
+  WorkerPool::ShardFn react_slots_task_;
   WorkerPool::ShardFn receive_slots_task_;
 };
 

@@ -18,8 +18,7 @@ constexpr std::size_t shard_bound(std::size_t count, std::size_t lanes,
 
 }  // namespace
 
-WorkerPool::WorkerPool(std::size_t lanes, std::size_t inline_cutoff)
-    : inline_cutoff_(inline_cutoff) {
+WorkerPool::WorkerPool(std::size_t lanes) {
   DYNSUB_CHECK(lanes >= 1);
   workers_.reserve(lanes - 1);
   for (std::size_t lane = 1; lane < lanes; ++lane) {
@@ -38,18 +37,6 @@ WorkerPool::~WorkerPool() {
   for (auto& w : workers_) w.join();
 }
 
-void WorkerPool::run_sharded(std::size_t count, const ShardFn& fn) {
-  // Tiny batches run inline on the calling thread: a fork-join dispatch
-  // costs microseconds, which dwarfs a handful of node steps (the
-  // quiescent/sparse regime).  Identical results either way -- shard
-  // layout only affects which thread executes a slot, never the slots.
-  if (workers_.empty() || count <= inline_cutoff_) {
-    if (count > 0) fn(0, 0, count);
-    return;
-  }
-  dispatch(count, fn);
-}
-
 void WorkerPool::run_tasks(std::size_t count, const ShardFn& fn) {
   // No inline cutoff: a "count" of a dozen staging slots can still carry
   // thousands of node steps each, so the caller decides when forking pays.
@@ -57,10 +44,6 @@ void WorkerPool::run_tasks(std::size_t count, const ShardFn& fn) {
     if (count > 0) fn(0, 0, count);
     return;
   }
-  dispatch(count, fn);
-}
-
-void WorkerPool::dispatch(std::size_t count, const ShardFn& fn) {
   const std::size_t lanes = workers_.size() + 1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -75,7 +58,7 @@ void WorkerPool::dispatch(std::size_t count, const ShardFn& fn) {
   if (end0 > 0) fn(0, 0, end0);
   if (telemetry_ != nullptr) {
     // Span the join wait: how long lane 0 sat idle after finishing its
-    // own shard is exactly the parallelism lost to shard imbalance.
+    // own run is exactly the parallelism lost to slot imbalance.
     using Clock = std::chrono::steady_clock;
     const Clock::time_point w0 = Clock::now();
     {

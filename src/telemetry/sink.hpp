@@ -28,14 +28,14 @@
 
 namespace dynsub::telemetry {
 
-/// Where a Span was measured.  kReact/kReceive spans are per-lane (one
-/// per lane per round); the rest are barrier-side on lane 0.
+/// Where a Span was measured.  kReact/kReceive spans are per slot (one
+/// per non-empty slot per round); the rest are barrier-side on lane 0.
 enum class Phase : std::uint8_t {
   kApply = 0,     // Phase 0: event validation + graph apply (barrier)
-  kReact,         // Phase 1: react_and_send over one lane's shard
+  kReact,         // Phase 1: react_and_send over one slot's chunk
   kExchange,      // Phase 2a: the transport seam (barrier)
   kRoute,         // Phase 2: routing merge + receiver assembly (barrier)
-  kReceive,       // Phase 3: receive_and_update over one lane's shard
+  kReceive,       // Phase 3: receive_and_update over one slot's chunk
   kBarrier,       // fork-join wait: lane 0 idle until workers drain
   kRound,         // the whole step(), end to end (barrier)
 };

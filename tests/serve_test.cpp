@@ -39,7 +39,6 @@ detect::Session scenario_session(const std::string& scenario,
   opts.sim = {.enforce_bandwidth = true,
               .track_prev_graph = false,
               .sparse_rounds = true,
-              .collect_phase_timings = false,
               .threads = threads,
               .faults = faults};
   std::string error;
@@ -261,7 +260,6 @@ TEST(ServeLoopTest, AnswerStreamIdenticalAcrossRecordReplay) {
   opts.sim = {.enforce_bandwidth = true,
               .track_prev_graph = false,
               .sparse_rounds = true,
-              .collect_phase_timings = false,
               .threads = 0,
               .faults = {}};
   std::string error;

@@ -655,5 +655,59 @@ TEST(DegradedMode, OutagesStaySoundAtEveryLaneCount) {
   }
 }
 
+TEST(DegradedMode, InlineCutoffNeverChangesWhatALossyPlanHits) {
+  // Whether a round forks onto the pool or runs inline is a scheduling
+  // choice: both run the same slot grid, so a lossy plan that kills
+  // slot 1 must hit the same batches either way.  n = 24 keeps every
+  // round at or below the default cutoff, so the default engine runs all
+  // of them inline while cutoff 0 forks every one.
+  net::FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 13;
+  plan.kill_lane = 1;
+  plan.kill_from = 5;
+  plan.kill_until = 12;
+  plan.max_retries = 0;
+  dynamics::RandomChurnParams cp;
+  cp.n = 24;
+  cp.target_edges = 48;
+  cp.max_changes = 4;
+  cp.rounds = 30;
+  cp.seed = 0xC6u;
+  dynamics::RandomChurnWorkload wl(cp);
+  const auto factory = testing::factory_of<core::TriangleNode>();
+  net::SimulatorConfig cfg;
+  cfg.threads = 2;
+  cfg.shards = 1;
+  cfg.faults = plan;
+  net::Simulator inline_sim(cp.n, factory, cfg);
+  cfg.threads_inline_cutoff = 0;
+  net::Simulator pooled_sim(cp.n, factory, cfg);
+  std::size_t rounds = 0;
+  while (rounds < 100000 &&
+         !(wl.finished() && pooled_sim.all_consistent() &&
+           inline_sim.all_consistent())) {
+    net::WorkloadObservation obs{pooled_sim.graph(), pooled_sim.round() + 1,
+                                 pooled_sim.all_consistent()};
+    const std::vector<EdgeEvent> batch =
+        wl.finished() ? std::vector<EdgeEvent>{} : wl.next_round(obs);
+    const net::RoundResult rp = pooled_sim.step(batch);
+    const net::RoundResult ri = inline_sim.step(batch);
+    ASSERT_EQ(rp, ri) << "inline engine diverged at round " << rp.round;
+    ASSERT_EQ(pooled_sim.degraded_count(), inline_sim.degraded_count())
+        << "round " << rp.round;
+    ASSERT_EQ(pooled_sim.degraded(), inline_sim.degraded())
+        << "round " << rp.round;
+    ++rounds;
+  }
+  const net::TransportStats& sp = pooled_sim.metrics().transport();
+  EXPECT_TRUE(sp == inline_sim.metrics().transport());
+  // The outage must actually have bitten for this test to mean anything.
+  EXPECT_GT(sp.lost_batches, 0u);
+  EXPECT_GT(sp.degraded_marks, 0u);
+  EXPECT_TRUE(inline_sim.all_consistent());
+  EXPECT_EQ(inline_sim.degraded_count(), 0u);
+}
+
 }  // namespace
 }  // namespace dynsub

@@ -324,7 +324,6 @@ int run(const Options& o) {
   sopts.sim = {.enforce_bandwidth = true,
                .track_prev_graph = false,
                .sparse_rounds = true,
-               .collect_phase_timings = false,
                .threads = o.threads,
                .shards = o.shards,
                .faults = o.faults};

@@ -403,28 +403,39 @@ EOF
   for v in $(seq 0 15); do
     echo "@80 query $v edge $v:$(( (v + 1) % 16 ))" >> "$TMP/chaos.script"
   done
-  "$SERVE" --scenario 'churn(n=16, rounds=30, seed=9)' --threads 2 \
-    --faults 'chaos(seed=7, kill_lane=0, kill_from=3, kill_until=6)' \
-    --requests "$TMP/chaos.script" --answers "$TMP/ans_chaos.txt" \
-    2> "$TMP/serve_chaos.err"
-  grep -q '^settled:    yes' "$TMP/serve_chaos.err" || {
-    echo "scenario_smoke.sh: chaos serve run did not re-converge" >&2
-    cat "$TMP/serve_chaos.err" >&2
-    exit 1
-  }
-  during=$(grep -c 'round=5 .*answer=inconsistent' "$TMP/ans_chaos.txt" || true)
-  after=$(grep -c 'round=80 .*answer=inconsistent' "$TMP/ans_chaos.txt" || true)
-  if [[ "$during" -eq 0 ]]; then
-    echo "scenario_smoke.sh: no kInconsistent answer during the outage" >&2
-    cat "$TMP/ans_chaos.txt" >&2
-    exit 1
-  fi
-  if [[ "$after" -ne 0 ]]; then
-    echo "scenario_smoke.sh: still answering kInconsistent after re-convergence" >&2
-    cat "$TMP/ans_chaos.txt" >&2
-    exit 1
-  fi
-  echo "chaos serve leg ok: $during inconsistent answer(s) during the outage, 0 after"
+  # Both slots of the 2-lane grid: every round of this 16-node run sits
+  # under the inline cutoff, and an inline round stages into the same
+  # slots a forked one would, so killing slot 1 must degrade nodes too.
+  # (Churn alone also yields kInconsistent answers, so the round records
+  # are what prove the outage bit.)
+  for kill_lane in 0 1; do
+    "$SERVE" --scenario 'churn(n=16, rounds=30, seed=9)' --threads 2 \
+      --faults "chaos(seed=7, kill_lane=$kill_lane, kill_from=3, kill_until=6)" \
+      --requests "$TMP/chaos.script" --answers "$TMP/ans_chaos.txt" \
+      --telemetry "$TMP/serve_chaos.jsonl" 2> "$TMP/serve_chaos.err"
+    grep -q '^settled:    yes' "$TMP/serve_chaos.err" || {
+      echo "scenario_smoke.sh: chaos serve run (kill_lane=$kill_lane) did not re-converge" >&2
+      cat "$TMP/serve_chaos.err" >&2
+      exit 1
+    }
+    grep -q '"degraded_nodes":[1-9]' "$TMP/serve_chaos.jsonl" || {
+      echo "scenario_smoke.sh: the kill_lane=$kill_lane outage degraded no node" >&2
+      exit 1
+    }
+    during=$(grep -c 'round=5 .*answer=inconsistent' "$TMP/ans_chaos.txt" || true)
+    after=$(grep -c 'round=80 .*answer=inconsistent' "$TMP/ans_chaos.txt" || true)
+    if [[ "$during" -eq 0 ]]; then
+      echo "scenario_smoke.sh: no kInconsistent answer during the kill_lane=$kill_lane outage" >&2
+      cat "$TMP/ans_chaos.txt" >&2
+      exit 1
+    fi
+    if [[ "$after" -ne 0 ]]; then
+      echo "scenario_smoke.sh: still answering kInconsistent after re-convergence (kill_lane=$kill_lane)" >&2
+      cat "$TMP/ans_chaos.txt" >&2
+      exit 1
+    fi
+    echo "chaos serve leg ok (kill_lane=$kill_lane): $during inconsistent answer(s) during the outage, 0 after"
+  done
 else
   echo "scenario_smoke.sh: dynsub_serve not built at $SERVE; skipping serve leg" >&2
 fi
