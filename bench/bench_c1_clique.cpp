@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "c1_clique", "EXP-C1",
                      "Corollary 1: k-clique membership listing (k = 3..6)",
                      "one triangle-membership structure answers every clique "
-                     "size in O(1) amortized rounds (flat in n for every k)");
+                     "size in O(1) amortized rounds (flat in n for every k)",
+                     {detect::EngineFlag::kSeed});
   const auto sizes =
       bench.sweep<std::size_t>({32, 64, 128, 256, 512}, {32, 64});
   const std::size_t rounds_per_run = bench.quick() ? 120 : 300;

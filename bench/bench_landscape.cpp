@@ -45,7 +45,9 @@ int main(int argc, char** argv) {
                      "Section 1.2: the complexity landscape",
                      "clique membership and 4-/5-cycle listing are ultra "
                      "fast (O(1)); everything else on the map is "
-                     "polynomially hard");
+                     "polynomially hard",
+                     {detect::EngineFlag::kSeed, detect::EngineFlag::kThreads,
+                      detect::EngineFlag::kShards});
 
   const std::size_t n = bench.quick() ? 96 : 256;
   const std::size_t rounds = bench.quick() ? 120 : 300;

@@ -6,11 +6,14 @@
 // log-log slope of each curve so the growth shape is a number.  Sweep
 // points are independent simulations and run on a thread pool.
 //
-// All benches speak the same CLI:
+// All benches speak the same CLI (the engine flag table, detect/cli.hpp):
 //   --quick         reduced sweep (CI smoke / fast local iteration)
 //   --json <path>   also write the results as a BENCH_<name>.json document
 //                   (schema in harness/json.hpp); bench/run_all.sh drives
 //                   every binary this way to feed the perf trajectory
+//   --list          describe what the bench measures, then exit
+// plus the engine flags a bench names in its Bench(..., reads) list
+// (--seed, --threads, --shards); any other engine flag exits 2.
 #pragma once
 
 #include <atomic>
@@ -25,7 +28,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/format.hpp"
+#include "detect/cli.hpp"
 #include "detect/registry.hpp"
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
@@ -90,122 +93,6 @@ inline PerfAccumulator& perf_accumulator() {
   return acc;
 }
 
-struct BenchOptions {
-  bool quick = false;
-  bool list = false;
-  bool has_seed = false;
-  bool has_threads = false;
-  bool has_shards = false;
-  std::uint64_t seed = 0;
-  std::size_t threads = 0;
-  std::size_t shards = 1;
-  std::string json_path;
-};
-
-/// Parses the shared bench CLI; exits on --help or an unknown flag.
-inline BenchOptions parse_options(int argc, char** argv) {
-  BenchOptions opts;
-  auto parse_seed = [&](std::string_view text) {
-    const auto v = parse_u64(text);
-    if (!v) {
-      std::fprintf(stderr, "%s: --seed wants an unsigned integer, got '%s'\n",
-                   argv[0], std::string(text).c_str());
-      std::exit(2);
-    }
-    opts.seed = *v;
-    opts.has_seed = true;
-  };
-  auto parse_threads = [&](std::string_view text) {
-    const auto v = parse_u64(text);
-    if (!v || *v > 256) {
-      std::fprintf(stderr,
-                   "%s: --threads wants an unsigned integer <= 256, got "
-                   "'%s'\n",
-                   argv[0], std::string(text).c_str());
-      std::exit(2);
-    }
-    opts.threads = static_cast<std::size_t>(*v);
-    opts.has_threads = true;
-  };
-  auto parse_shards = [&](std::string_view text) {
-    const auto v = parse_u64(text);
-    if (!v || *v == 0 || *v > 64) {
-      std::fprintf(stderr,
-                   "%s: --shards wants an unsigned integer in 1..64, got "
-                   "'%s'\n",
-                   argv[0], std::string(text).c_str());
-      std::exit(2);
-    }
-    opts.shards = static_cast<std::size_t>(*v);
-    opts.has_shards = true;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
-      opts.quick = true;
-    } else if (arg == "--list") {
-      opts.list = true;
-    } else if (arg == "--shards") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --shards requires a value argument\n",
-                     argv[0]);
-        std::exit(2);
-      }
-      parse_shards(argv[++i]);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      parse_shards(arg.substr(9));
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --threads requires a value argument\n",
-                     argv[0]);
-        std::exit(2);
-      }
-      parse_threads(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      parse_threads(arg.substr(10));
-    } else if (arg == "--json") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --json requires a path argument\n", argv[0]);
-        std::exit(2);
-      }
-      opts.json_path = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opts.json_path = std::string(arg.substr(7));
-    } else if (arg == "--seed") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --seed requires a value argument\n",
-                     argv[0]);
-        std::exit(2);
-      }
-      parse_seed(argv[++i]);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      parse_seed(arg.substr(7));
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: %s [--quick] [--seed <u64>] [--threads <T>] "
-                  "[--json <path>] [--list]\n",
-                  argv[0]);
-      std::printf("  --quick        run a reduced sweep (CI smoke)\n");
-      std::printf("  --seed <u64>   override the bench's base seed (reruns\n");
-      std::printf("                 with the same seed are bit-identical)\n");
-      std::printf("  --threads <T>  override the lane count of the bench's\n");
-      std::printf("                 parallel-engine rows (results are\n");
-      std::printf("                 bit-identical at every T)\n");
-      std::printf("  --shards <S>   override the shard count of the bench's\n");
-      std::printf("                 shard-engine rows (per-shard Routers,\n");
-      std::printf("                 cross-shard lane-batch frames; results\n");
-      std::printf("                 are bit-identical at every S)\n");
-      std::printf("  --json <path>  write results as a JSON document\n");
-      std::printf("  --list         describe what this bench measures, then exit\n");
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n",
-                   argv[0], std::string(arg).c_str());
-      std::exit(2);
-    }
-  }
-  return opts;
-}
-
 /// One bench run: owns the parsed options and the JSON document that
 /// mirrors everything report() prints.  Typical main:
 ///
@@ -216,19 +103,23 @@ inline BenchOptions parse_options(int argc, char** argv) {
 ///   return bench.finish();
 class Bench {
  public:
+  /// `reads` names the engine flags this bench honours beyond --quick and
+  /// --json (detect/cli.hpp); every other engine flag exits 2 before any
+  /// run starts, so a flag is never accepted and then ignored.
   Bench(int argc, char** argv, std::string name, std::string exp_id,
-        std::string artifact, std::string claim)
-      : opts_(parse_options(argc, argv)),
+        std::string artifact, std::string claim,
+        std::initializer_list<detect::EngineFlag> reads = {})
+      : opts_(parse_options(argc, argv, name, reads)),
         doc_(harness::make_bench_document(name, exp_id, artifact, claim,
                                           opts_.quick)) {
-    if (opts_.list) {
+    if (list_) {
       std::printf("%s  %s\n  artifact: %s\n  claim:    %s\n", name.c_str(),
                   exp_id.c_str(), artifact.c_str(), claim.c_str());
       std::exit(0);
     }
     print_block_header_impl(exp_id, artifact, claim);
     if (opts_.quick) std::printf("(quick mode: reduced sweep)\n");
-    if (opts_.has_seed) {
+    if (opts_.given(detect::EngineFlag::kSeed)) {
       std::printf("(seed override: %llu)\n",
                   static_cast<unsigned long long>(opts_.seed));
       harness::add_note(doc_, "seed", std::to_string(opts_.seed));
@@ -239,21 +130,22 @@ class Bench {
 
   /// The --seed override when given, else the bench's own default --
   /// thread this into workload construction so a rerun with the same seed
-  /// reproduces the exact event streams.
+  /// reproduces the exact event streams.  Only a bench that names kSeed in
+  /// `reads` can be given --seed.
   [[nodiscard]] std::uint64_t seed_or(std::uint64_t dflt) const {
-    return opts_.has_seed ? opts_.seed : dflt;
+    return opts_.given(detect::EngineFlag::kSeed) ? opts_.seed : dflt;
   }
 
   /// The --threads override when given, else the bench's own default lane
-  /// count for its parallel-engine rows.
+  /// count for its parallel-engine rows (kThreads in `reads`).
   [[nodiscard]] std::size_t threads_or(std::size_t dflt) const {
-    return opts_.has_threads ? opts_.threads : dflt;
+    return opts_.given(detect::EngineFlag::kThreads) ? opts_.threads : dflt;
   }
 
   /// The --shards override when given, else the bench's own default shard
-  /// count for its shard-engine rows.
+  /// count for its shard-engine rows (kShards in `reads`).
   [[nodiscard]] std::size_t shards_or(std::size_t dflt) const {
-    return opts_.has_shards ? opts_.shards : dflt;
+    return opts_.given(detect::EngineFlag::kShards) ? opts_.shards : dflt;
   }
 
   /// Picks the full or reduced sweep depending on --quick.
@@ -333,11 +225,26 @@ class Bench {
   }
 
  private:
+  /// Parses the bench command line; exits on --help or a refused flag.
+  detect::EngineOptions parse_options(
+      int argc, char** argv, const std::string& name,
+      std::initializer_list<detect::EngineFlag> reads) {
+    std::vector<detect::EngineFlag> flags{detect::EngineFlag::kQuick,
+                                          detect::EngineFlag::kJson};
+    for (const detect::EngineFlag flag : reads) flags.push_back(flag);
+    detect::CommandLine cli("bench_" + name, {"[options]"}, flags);
+    cli.add_switch("--list", "describe what this bench measures, then exit",
+                   &list_);
+    if (const auto code = cli.parse(argc, argv)) std::exit(*code);
+    return cli.engine();
+  }
+
   static void print_block_header_impl(const std::string& exp_id,
                                       const std::string& artifact,
                                       const std::string& claim);
 
-  BenchOptions opts_;
+  bool list_ = false;  // set by parse_options
+  detect::EngineOptions opts_;
   harness::Json doc_;
 };
 

@@ -1,17 +1,33 @@
 #include "net/trace.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include "common/format.hpp"
 
 namespace dynsub::net {
 
+std::size_t Trace::nodes() const {
+  if (n != 0) return n;
+  std::size_t max_id = 0;
+  for (const auto& batch : rounds) {
+    for (const auto& ev : batch) {
+      max_id = std::max<std::size_t>(max_id, ev.edge.hi());
+    }
+  }
+  return max_id + 1;
+}
+
 void write_trace(std::ostream& os,
-                 std::span<const std::vector<EdgeEvent>> rounds) {
+                 std::span<const std::vector<EdgeEvent>> rounds,
+                 std::size_t n, std::string_view comment) {
+  if (!comment.empty()) os << "# " << comment << '\n';
+  if (n != 0) os << "# n=" << n << '\n';
   for (const auto& batch : rounds) {
     bool first = true;
     for (const auto& ev : batch) {
@@ -24,11 +40,9 @@ void write_trace(std::ostream& os,
   }
 }
 
-std::optional<std::vector<std::vector<EdgeEvent>>> read_trace(
-    std::istream& is, std::string* error) {
+std::optional<Trace> read_trace(std::istream& is, std::string* error) {
   auto fail = [&](std::size_t line_no,
-                  const std::string& what)
-      -> std::optional<std::vector<std::vector<EdgeEvent>>> {
+                  const std::string& what) -> std::optional<Trace> {
     if (error) {
       std::ostringstream os;
       os << "trace line " << line_no << ": " << what;
@@ -37,12 +51,26 @@ std::optional<std::vector<std::vector<EdgeEvent>>> read_trace(
     return std::nullopt;
   };
 
-  std::vector<std::vector<EdgeEvent>> rounds;
+  Trace trace;
   std::string line;
   std::size_t line_no = 0;
+  // The header lives in the leading comment block; a "# n=" comment after
+  // the first round line is an ordinary comment.
+  bool in_header = true;
   while (std::getline(is, line)) {
     ++line_no;
-    if (!line.empty() && line[0] == '#') continue;
+    if (!line.empty() && line[0] == '#') {
+      if (in_header && line.rfind("# n=", 0) == 0) {
+        const auto v = parse_u64(std::string_view(line).substr(4));
+        if (!v || *v == 0) {
+          return fail(line_no, "corrupt trace header '" + line +
+                                   "' (want '# n=<count>', count >= 1)");
+        }
+        trace.n = static_cast<std::size_t>(*v);
+      }
+      continue;
+    }
+    in_header = false;
     std::vector<EdgeEvent> batch;
     std::istringstream tokens(line);
     std::string tok;
@@ -68,12 +96,20 @@ std::optional<std::vector<std::vector<EdgeEvent>>> read_trace(
       }
       if (*a == *b) return fail(line_no, "self loop in '" + tok + "'");
       const Edge e(static_cast<NodeId>(*a), static_cast<NodeId>(*b));
+      // A replay sized by the header would index past the network.
+      if (trace.n != 0 && e.hi() >= trace.n) {
+        return fail(line_no, "'" + tok + "' names node " +
+                                 std::to_string(e.hi()) +
+                                 " but the header says n=" +
+                                 std::to_string(trace.n) +
+                                 "; the trace is corrupt or hand-edited");
+      }
       batch.push_back(
           {e, tok[0] == '+' ? EventKind::kInsert : EventKind::kDelete});
     }
-    rounds.push_back(std::move(batch));
+    trace.rounds.push_back(std::move(batch));
   }
-  return rounds;
+  return trace;
 }
 
 }  // namespace dynsub::net

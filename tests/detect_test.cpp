@@ -2,9 +2,12 @@
 // params, spec fuzz), the uniform query/listing surface, kInconsistent
 // propagation, and the Session facade.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "detect/cli.hpp"
 #include "detect/registry.hpp"
 #include "detect/session.hpp"
 #include "net/workload.hpp"
@@ -381,6 +385,123 @@ TEST(SessionTest, OpenRejectsBadSpecsAndSizes) {
                 std::vector<std::vector<EdgeEvent>>{}),
       4, &error);
   EXPECT_FALSE(with_workload.has_value());  // scenario + workload conflict
+}
+
+// ------------------------------------------------------ engine front end ----
+
+using detect::EngineFlag;
+
+/// Every engine flag, as the tools read them.
+const std::vector<EngineFlag> kAllEngineFlags{
+    EngineFlag::kScenario, EngineFlag::kReplay,    EngineFlag::kDetector,
+    EngineFlag::kN,        EngineFlag::kThreads,   EngineFlag::kShards,
+    EngineFlag::kFaults,   EngineFlag::kSeed,      EngineFlag::kQuick,
+    EngineFlag::kMaxRounds, EngineFlag::kRecord,   EngineFlag::kJson,
+    EngineFlag::kTelemetry};
+
+/// Parses `args` (program name excluded) on `cli`.
+std::optional<int> parse_args(detect::CommandLine& cli,
+                              std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return cli.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(EngineFlagsTest, TableRefusesBadValuesWithExitTwo) {
+  struct Case {
+    std::vector<std::string> args;
+    std::vector<EngineFlag> reads;
+  };
+  // What a bench without a seeded workload reads (bench/bench_util.hpp).
+  const std::vector<EngineFlag> bench_reads{EngineFlag::kQuick,
+                                            EngineFlag::kJson};
+  for (const Case& c : {
+           Case{{"--threads", "257"}, kAllEngineFlags},
+           Case{{"--shards", "0"}, kAllEngineFlags},
+           Case{{"--shards", "65"}, kAllEngineFlags},
+           Case{{"--seed", "10O0"}, kAllEngineFlags},
+           Case{{"--n", "-1"}, kAllEngineFlags},
+           Case{{"--faults", "chaos(drop=2)"}, kAllEngineFlags},
+           Case{{"--faults", "mayhem(seed=1)"}, kAllEngineFlags},
+           Case{{"--quick", "--threads"}, kAllEngineFlags},  // missing value
+           Case{{"--bogus"}, kAllEngineFlags},                // unknown flag
+           Case{{"--threads=4"}, kAllEngineFlags},  // no --flag=value form
+           Case{{"--seed", "42"}, bench_reads},  // a bench refusing --seed
+           Case{{"--threads", "2"}, bench_reads},
+           Case{{"--quick", "--shards", "2"}, bench_reads},
+       }) {
+    detect::CommandLine cli("prog", {"[options]"}, c.reads);
+    EXPECT_EQ(parse_args(cli, c.args), std::optional<int>(2))
+        << ::testing::PrintToString(c.args);
+  }
+}
+
+TEST(EngineFlagsTest, TableParsesRangesAndRecordsWhatWasGiven) {
+  detect::CommandLine cli("prog", {"[options]"}, kAllEngineFlags);
+  EXPECT_EQ(parse_args(cli, {"--threads", "256", "--shards", "64", "--seed",
+                             "42", "--faults", "chaos(seed=3, drop=0.5)",
+                             "--quick"}),
+            std::nullopt);
+  const detect::EngineOptions& o = cli.engine();
+  EXPECT_EQ(o.threads, 256u);
+  EXPECT_EQ(o.shards, 64u);
+  EXPECT_EQ(o.seed, 42u);
+  EXPECT_TRUE(o.faults.enabled);
+  EXPECT_TRUE(o.quick);
+  EXPECT_TRUE(o.given(EngineFlag::kSeed));
+  EXPECT_FALSE(o.given(EngineFlag::kN));
+  EXPECT_EQ(o.detector, "triangle");  // defaults stand when not given
+
+  // Own flags parse on the same table; --help stops with exit 0.
+  bool list = false;
+  std::uint64_t budget = 0;
+  detect::CommandLine own("prog", {"[options]"}, {EngineFlag::kQuick});
+  own.add_switch("--list", "list", &list);
+  own.add_count("--budget", "B", "budget", &budget, 1);
+  EXPECT_EQ(parse_args(own, {"--list", "--budget", "3"}), std::nullopt);
+  EXPECT_TRUE(list);
+  EXPECT_EQ(budget, 3u);
+  EXPECT_EQ(parse_args(own, {"--budget", "0"}), std::optional<int>(2));
+  EXPECT_EQ(parse_args(own, {"--help"}), std::optional<int>(0));
+}
+
+TEST(EngineFlagsTest, OpenSessionRefusesWithTheToolsExitCodes) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string trace =
+      (dir / ("detect_test_" + std::to_string(::getpid()) + ".trace"))
+          .string();
+  {
+    std::ofstream out(trace);
+    out << "# n=8\n+0:1 +1:2\n+0:2\n";
+  }
+  struct Case {
+    std::vector<std::string> args;
+    int exit_code;
+  };
+  for (const Case& c : {
+           Case{{}, 2},  // neither --scenario nor --replay
+           Case{{"--scenario", "churn(n=8)", "--replay", trace}, 2},
+           Case{{"--scenario", "churn(n=8)", "--detector", "nope"}, 2},
+           Case{{"--scenario", "nope"}, 1},
+           Case{{"--replay", trace + ".missing"}, 1},
+           Case{{"--replay", trace, "--n", "9"}, 1},  // contradicts # n=8
+       }) {
+    detect::CommandLine cli("prog", {"[options]"}, kAllEngineFlags);
+    ASSERT_EQ(parse_args(cli, c.args), std::nullopt);
+    const auto opened = detect::open_session(cli, nullptr);
+    EXPECT_FALSE(opened.session.has_value());
+    EXPECT_EQ(opened.exit_code, c.exit_code)
+        << ::testing::PrintToString(c.args);
+  }
+  // The header sizes the replay, and a matching --n is accepted.
+  detect::CommandLine cli("prog", {"[options]"}, kAllEngineFlags);
+  ASSERT_EQ(parse_args(cli, {"--replay", trace, "--n", "8"}), std::nullopt);
+  const auto opened = detect::open_session(cli, nullptr);
+  ASSERT_TRUE(opened.session.has_value());
+  EXPECT_EQ(opened.session->nodes(), 8u);
+  EXPECT_EQ(opened.label, "replay:" + trace);
+  std::filesystem::remove(trace);
 }
 
 }  // namespace

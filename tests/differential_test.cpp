@@ -56,9 +56,9 @@ std::vector<std::vector<EdgeEvent>> recorded_trace() {
   net::write_trace(os, recorder.rounds());
   std::istringstream is(os.str());
   std::string error;
-  const auto rounds = net::read_trace(is, &error);
-  EXPECT_TRUE(rounds.has_value()) << error;
-  return *rounds;
+  const auto trace = net::read_trace(is, &error);
+  EXPECT_TRUE(trace.has_value()) << error;
+  return trace->rounds;
 }
 
 /// A manual session sized for the trace: the tests step the batches

@@ -52,25 +52,8 @@
 namespace dynsub {
 namespace {
 
-void expect_metrics_equal(const net::Metrics& a, const net::Metrics& b) {
-  EXPECT_EQ(a.rounds(), b.rounds());
-  EXPECT_EQ(a.changes(), b.changes());
-  EXPECT_EQ(a.inconsistent_rounds(), b.inconsistent_rounds());
-  EXPECT_EQ(a.messages(), b.messages());
-  EXPECT_EQ(a.payload_bits(), b.payload_bits());
-  EXPECT_EQ(a.sum_inconsistent_nodes(), b.sum_inconsistent_nodes());
-  EXPECT_DOUBLE_EQ(a.amortized(), b.amortized());
-  EXPECT_DOUBLE_EQ(a.amortized_sup(), b.amortized_sup());
-  EXPECT_EQ(a.node_inconsistent(), b.node_inconsistent());
-  EXPECT_EQ(a.node_changes(), b.node_changes());
-}
-
-template <typename NodeT>
-auto known_edges_of() {
-  return [](const net::Simulator& sim, NodeId v) {
-    return dynamic_cast<const NodeT&>(sim.node(v)).known_edges();
-  };
-}
+using testing::expect_metrics_equal;
+using testing::known_edges_of;
 
 struct ShardCell {
   std::size_t shards;

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 
+#include "net/metrics.hpp"
 #include "net/simulator.hpp"
 #include "net/workload.hpp"
 
@@ -18,6 +19,32 @@ template <typename NodeT, typename... Extra>
 net::NodeFactory factory_of(Extra... extra) {
   return [extra...](NodeId v, std::size_t n) {
     return std::make_unique<NodeT>(v, n, extra...);
+  };
+}
+
+/// Every deterministic counter two equivalent runs must agree on (the
+/// transport counters excepted: only a chaos run accrues them).
+inline void expect_metrics_equal(const net::Metrics& a,
+                                 const net::Metrics& b) {
+  EXPECT_EQ(a.rounds(), b.rounds());
+  EXPECT_EQ(a.changes(), b.changes());
+  EXPECT_EQ(a.inconsistent_rounds(), b.inconsistent_rounds());
+  EXPECT_EQ(a.messages(), b.messages());
+  EXPECT_EQ(a.payload_bits(), b.payload_bits());
+  EXPECT_EQ(a.sum_inconsistent_nodes(), b.sum_inconsistent_nodes());
+  EXPECT_DOUBLE_EQ(a.amortized(), b.amortized());
+  EXPECT_DOUBLE_EQ(a.amortized_sup(), b.amortized_sup());
+  EXPECT_DOUBLE_EQ(a.per_node_amortized_sup(), b.per_node_amortized_sup());
+  EXPECT_EQ(a.node_inconsistent(), b.node_inconsistent());
+  EXPECT_EQ(a.node_changes(), b.node_changes());
+}
+
+/// State extractor for the equivalence suites: node v's known edge set,
+/// for any node type exposing known_edges().
+template <typename NodeT>
+auto known_edges_of() {
+  return [](const net::Simulator& sim, NodeId v) {
+    return dynamic_cast<const NodeT&>(sim.node(v)).known_edges();
   };
 }
 

@@ -43,6 +43,9 @@
 namespace dynsub {
 namespace {
 
+using testing::expect_metrics_equal;
+using testing::known_edges_of;
+
 /// The two engines under comparison, built over the same factory.
 struct EnginePair {
   net::Simulator sparse;
@@ -52,20 +55,6 @@ struct EnginePair {
       : sparse(n, f, {.sparse_rounds = true}),
         dense(n, f, {.sparse_rounds = false}) {}
 };
-
-void expect_metrics_equal(const net::Metrics& a, const net::Metrics& b) {
-  EXPECT_EQ(a.rounds(), b.rounds());
-  EXPECT_EQ(a.changes(), b.changes());
-  EXPECT_EQ(a.inconsistent_rounds(), b.inconsistent_rounds());
-  EXPECT_EQ(a.messages(), b.messages());
-  EXPECT_EQ(a.payload_bits(), b.payload_bits());
-  EXPECT_EQ(a.sum_inconsistent_nodes(), b.sum_inconsistent_nodes());
-  EXPECT_DOUBLE_EQ(a.amortized(), b.amortized());
-  EXPECT_DOUBLE_EQ(a.amortized_sup(), b.amortized_sup());
-  EXPECT_DOUBLE_EQ(a.per_node_amortized_sup(), b.per_node_amortized_sup());
-  EXPECT_EQ(a.node_inconsistent(), b.node_inconsistent());
-  EXPECT_EQ(a.node_changes(), b.node_changes());
-}
 
 /// Feeds the same event stream to both engines round by round, asserting
 /// the per-round invariants.  `state_of(sim, v)` extracts the audited node
@@ -106,13 +95,6 @@ void drive_lockstep(EnginePair& e, net::Workload& wl,
     EXPECT_EQ(e.sparse.last_round_active(), 0u);
     EXPECT_EQ(e.sparse.last_round_stepped(), 0u);
   }
-}
-
-template <typename NodeT>
-auto known_edges_of() {
-  return [](const net::Simulator& sim, NodeId v) {
-    return dynamic_cast<const NodeT&>(sim.node(v)).known_edges();
-  };
 }
 
 /// The tentpole's equivalence matrix: a sequential reference engine driven

@@ -35,17 +35,19 @@ TEST(TraceTest, RoundTripPreservesEveryRound) {
   std::istringstream is(os.str());
   const auto back = net::read_trace(is);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, rounds);
+  EXPECT_EQ(back->rounds, rounds);
+  EXPECT_EQ(back->n, 0u);
 }
 
 TEST(TraceTest, ParsesCommentsAndEmptyRounds) {
   std::istringstream is("# header\n+0:1 +1:2\n\n-0:1\n");
-  const auto rounds = net::read_trace(is);
-  ASSERT_TRUE(rounds.has_value());
-  ASSERT_EQ(rounds->size(), 3u);
-  EXPECT_EQ((*rounds)[0].size(), 2u);
-  EXPECT_TRUE((*rounds)[1].empty());
-  EXPECT_EQ((*rounds)[2][0].kind, EventKind::kDelete);
+  const auto trace = net::read_trace(is);
+  ASSERT_TRUE(trace.has_value());
+  const auto& rounds = trace->rounds;
+  ASSERT_EQ(rounds.size(), 3u);
+  EXPECT_EQ(rounds[0].size(), 2u);
+  EXPECT_TRUE(rounds[1].empty());
+  EXPECT_EQ(rounds[2][0].kind, EventKind::kDelete);
 }
 
 TEST(TraceTest, RejectsMalformedInput) {
@@ -66,9 +68,9 @@ TEST(TraceTest, RejectsMalformedInput) {
 TEST(TraceTest, AcceptsMaxNodeIdAndErrorsNameTheLine) {
   {
     std::istringstream is("+0:4294967295\n");
-    const auto rounds = net::read_trace(is);
-    ASSERT_TRUE(rounds.has_value());
-    EXPECT_EQ((*rounds)[0][0].edge.hi(), 4294967295u);
+    const auto trace = net::read_trace(is);
+    ASSERT_TRUE(trace.has_value());
+    EXPECT_EQ(trace->rounds[0][0].edge.hi(), 4294967295u);
   }
   {
     // The failing line number (1-based, comments counted) is in the error.
@@ -77,6 +79,50 @@ TEST(TraceTest, AcceptsMaxNodeIdAndErrorsNameTheLine) {
     EXPECT_FALSE(net::read_trace(is, &error).has_value());
     EXPECT_NE(error.find("line 4"), std::string::npos) << error;
   }
+}
+
+TEST(TraceTest, HeaderRoundTripsThroughWriteThenRead) {
+  const std::vector<std::vector<EdgeEvent>> rounds{
+      {EdgeEvent::insert(0, 1), EdgeEvent::insert(2, 3)}, {}};
+  std::ostringstream os;
+  net::write_trace(os, rounds, 7, "dynsub_run trace of: churn(n=7)");
+  EXPECT_EQ(os.str(),
+            "# dynsub_run trace of: churn(n=7)\n# n=7\n+0:1 +2:3\n\n");
+  std::istringstream is(os.str());
+  std::string error;
+  const auto back = net::read_trace(is, &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(back->n, 7u);
+  EXPECT_EQ(back->nodes(), 7u);  // the header, not the largest id + 1
+  EXPECT_EQ(back->rounds, rounds);
+}
+
+TEST(TraceTest, RefusesBadHeaders) {
+  struct Case {
+    const char* text;
+    const char* want;  // substring of the error
+  };
+  for (const Case& c : {
+           Case{"# n=banana\n+0:1\n", "corrupt trace header '# n=banana'"},
+           Case{"# n=0\n+0:1\n", "corrupt trace header '# n=0'"},
+           Case{"# n=-3\n", "corrupt trace header"},
+           // A header smaller than the largest event id: a replay sized by
+           // it would index past the network.
+           Case{"# n=2\n+0:1\n\n+1:5\n", "line 4"},
+           Case{"# n=2\n+0:1\n\n+1:5\n", "header says n=2"},
+       }) {
+    std::istringstream is(c.text);
+    std::string error;
+    EXPECT_FALSE(net::read_trace(is, &error).has_value()) << c.text;
+    EXPECT_NE(error.find(c.want), std::string::npos) << c.text << error;
+  }
+  // Only the leading comment block holds the header; the same comment
+  // after the first round line is an ordinary comment.
+  std::istringstream late("+0:1\n# n=banana\n");
+  const auto trace = net::read_trace(late);
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_EQ(trace->n, 0u);
+  EXPECT_EQ(trace->nodes(), 2u);  // headerless: largest id + 1
 }
 
 TEST(TraceTest, FuzzRoundTripRandomBatches) {
@@ -106,7 +152,7 @@ TEST(TraceTest, FuzzRoundTripRandomBatches) {
     std::string error;
     const auto back = net::read_trace(is, &error);
     ASSERT_TRUE(back.has_value()) << "iter " << iter << ": " << error;
-    EXPECT_EQ(*back, rounds) << "iter " << iter;
+    EXPECT_EQ(back->rounds, rounds) << "iter " << iter;
   }
 }
 
@@ -147,12 +193,12 @@ TEST(TraceTest, RecordedAdaptiveAdversaryReplaysIdentically) {
   std::ostringstream os;
   net::write_trace(os, recorder.rounds());
   std::istringstream is(os.str());
-  const auto rounds = net::read_trace(is);
-  ASSERT_TRUE(rounds.has_value());
+  const auto trace = net::read_trace(is);
+  ASSERT_TRUE(trace.has_value());
 
   net::Simulator replayed(adversary.nodes_required(),
                           factory_of<core::TriangleNode>());
-  net::ScriptedWorkload script(*rounds);
+  net::ScriptedWorkload script(trace->rounds);
   net::run_workload(replayed, script, 100000);
 
   EXPECT_EQ(live.metrics().changes(), replayed.metrics().changes());

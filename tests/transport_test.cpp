@@ -41,6 +41,9 @@
 namespace dynsub {
 namespace {
 
+using testing::expect_metrics_equal;
+using testing::known_edges_of;
+
 // ------------------------------------------------------ fault plan spec ----
 
 TEST(FaultPlanSpec, NoneAndEmptyAreDisabled) {
@@ -303,19 +306,6 @@ TEST(ChaosTransportTest, DuplicatesAndReordersAreAbsorbed) {
 
 // ------------------------------------------------------ ChaosEquivalence ----
 
-void expect_metrics_equal(const net::Metrics& a, const net::Metrics& b) {
-  EXPECT_EQ(a.rounds(), b.rounds());
-  EXPECT_EQ(a.changes(), b.changes());
-  EXPECT_EQ(a.inconsistent_rounds(), b.inconsistent_rounds());
-  EXPECT_EQ(a.messages(), b.messages());
-  EXPECT_EQ(a.payload_bits(), b.payload_bits());
-  EXPECT_EQ(a.sum_inconsistent_nodes(), b.sum_inconsistent_nodes());
-  EXPECT_DOUBLE_EQ(a.amortized(), b.amortized());
-  EXPECT_DOUBLE_EQ(a.amortized_sup(), b.amortized_sup());
-  EXPECT_EQ(a.node_inconsistent(), b.node_inconsistent());
-  EXPECT_EQ(a.node_changes(), b.node_changes());
-}
-
 /// A fault plan every delivery survives with near-certainty: retries are
 /// generous, so the only way this plan diverges from fault-free is a bug.
 net::FaultPlan recoverable_plan(std::uint64_t seed) {
@@ -388,13 +378,6 @@ net::TransportStats drive_chaos_lockstep(std::size_t n,
         << "threads=" << threads << " seed=" << plan.seed;
   }
   return chaos.metrics().transport();
-}
-
-template <typename NodeT>
-auto known_edges_of() {
-  return [](const net::Simulator& sim, NodeId v) {
-    return dynamic_cast<const NodeT&>(sim.node(v)).known_edges();
-  };
 }
 
 TEST(ChaosEquivalence, TriangleBitIdenticalAcrossThreadsAndSeeds) {

@@ -451,22 +451,35 @@ if [[ -n "${SMOKE_ARTIFACT_DIR:-}" ]]; then
 fi
 
 echo "== replay validation failures are loud =="
-# A replay whose CLI flags or header disagree with the trace must exit
-# nonzero with a message, never run a mismatched simulation.
-if "$BIN" --replay "$TMP/t.trace" --n 99999 > /dev/null 2>&1; then
-  echo "scenario_smoke.sh: mismatched --n replay should have failed" >&2
-  exit 1
-fi
+# A replay whose CLI flags or header disagree with the trace must exit 1
+# with a message, never run a mismatched simulation -- in both tools,
+# which share one trace reader and one session opener.  The intact trace
+# replays first, so a refusal is the bad input's doing.
 sed 's/^# n=.*/# n=banana/' "$TMP/t.trace" > "$TMP/corrupt.trace"
-if "$BIN" --replay "$TMP/corrupt.trace" > /dev/null 2>&1; then
-  echo "scenario_smoke.sh: corrupt trace header should have failed" >&2
-  exit 1
-fi
 sed 's/^# n=.*/# n=2/' "$TMP/t.trace" > "$TMP/small.trace"
-if "$BIN" --replay "$TMP/small.trace" > /dev/null 2>&1; then
-  echo "scenario_smoke.sh: undersized trace header should have failed" >&2
-  exit 1
+refuses_bad_replays() {  # refuses_bad_replays NAME CMD...
+  local name="$1"
+  shift
+  "$@" --replay "$TMP/t.trace" > /dev/null 2>&1 || {
+    echo "scenario_smoke.sh: $name: the intact trace should replay" >&2
+    exit 1
+  }
+  local code
+  for bad in "--replay $TMP/t.trace --n 99999" "--replay $TMP/corrupt.trace" \
+             "--replay $TMP/small.trace"; do
+    code=0
+    # shellcheck disable=SC2086  # $bad is split into flags on purpose
+    "$@" $bad > /dev/null 2>&1 || code=$?
+    if [[ "$code" -ne 1 ]]; then
+      echo "scenario_smoke.sh: $name $bad: want exit 1, got $code" >&2
+      exit 1
+    fi
+  done
+  echo "$name: replay mismatches fail loudly"
+}
+refuses_bad_replays dynsub_run "$BIN"
+if [[ -x "$SERVE" ]]; then
+  refuses_bad_replays dynsub_serve "$SERVE" --requests "$TMP/req.script"
 fi
-echo "replay mismatches fail loudly"
 
 echo "scenario_smoke.sh: $count scenario(s), $dcount detector(s), $ccount chaos scenario(s) ran clean"
